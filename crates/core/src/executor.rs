@@ -1,11 +1,14 @@
 //! A unified executor over the four runtimes.
 //!
-//! Construction is registry-driven: [`Executor::try_build`] walks
-//! [`Family::ALL`] and asks each family to build its runtime
-//! ([`Family::build_runtime`]) from one shared [`PoolConfig`] — so adding a
-//! family means adding a [`FamilyRuntime`] variant and a dispatch arm here,
-//! and every harness loop, test, and service picks it up through the
-//! registry without per-call-site edits.
+//! Construction is registry-driven and lazy: an [`Executor`] keeps one
+//! shared [`PoolConfig`] and one empty slot per [`Family::ALL`] entry, and
+//! the first call that needs a family builds its runtime
+//! ([`Family::build_runtime`]) into that slot. A family that never runs
+//! never starts a thread, so an executor that only ever runs `omp_for`
+//! carries one pool, not three. Adding a family means adding a
+//! [`FamilyRuntime`] variant and a dispatch arm here, and every harness
+//! loop, test, and service picks it up through the registry without
+//! per-call-site edits.
 //!
 //! Task-parallel *algorithms* (recursive decomposition, per-phase task
 //! graphs) are inherently per-application; those use [`Executor::team`],
@@ -14,6 +17,7 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 use tpm_actors::ActorRuntime;
 use tpm_forkjoin::{Schedule, Team};
@@ -82,8 +86,8 @@ impl std::fmt::Debug for FamilyRuntime {
 
 impl Family {
     /// Builds this family's runtime from the shared pool knobs. The
-    /// registry's construction hook: [`Executor::try_build`] calls this for
-    /// every entry of [`Family::ALL`].
+    /// registry's construction hook: an [`Executor`] calls this the first
+    /// time it runs one of the family's models.
     pub fn build_runtime(self, cfg: &PoolConfig) -> FamilyRuntime {
         match self {
             Family::OpenMp => FamilyRuntime::OpenMp(Team::builder().config(cfg.clone()).build()),
@@ -98,11 +102,13 @@ impl Family {
     }
 }
 
-/// Holds one runtime instance per API family, all sized to the same thread
-/// count, so a figure's curves measure scheduling — not pool size.
+/// Holds up to one runtime instance per API family, all sized to the same
+/// thread count, so a figure's curves measure scheduling — not pool size.
+/// Each runtime starts on its family's first use.
 pub struct Executor {
-    threads: usize,
-    runtimes: Vec<FamilyRuntime>,
+    cfg: PoolConfig,
+    /// Indexed like [`Family::ALL`]; a slot fills on its family's first use.
+    runtimes: [OnceLock<FamilyRuntime>; Family::ALL.len()],
 }
 
 /// Configures an [`Executor`] before construction — one [`PoolConfig`]
@@ -150,7 +156,8 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Materializes every family's runtime.
+    /// Creates the executor. No runtime starts here: each family's pool is
+    /// built the first time one of its models runs.
     ///
     /// Panics on an unbuildable configuration; use
     /// [`try_build`](Self::try_build) to get an [`ExecError`] instead.
@@ -180,12 +187,10 @@ impl ExecutorBuilder {
                 "thread count must be at least 1".into(),
             ));
         }
-        let threads = self.cfg.threads;
-        let runtimes = Family::ALL
-            .iter()
-            .map(|fam| fam.build_runtime(&self.cfg))
-            .collect();
-        Ok(Executor { threads, runtimes })
+        Ok(Executor {
+            cfg: self.cfg,
+            runtimes: Default::default(),
+        })
     }
 }
 
@@ -204,14 +209,17 @@ impl Executor {
 
     /// The common thread count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.cfg.threads
     }
 
+    /// `family`'s runtime, built on first use (concurrent first uses build
+    /// it once).
     fn runtime(&self, family: Family) -> &FamilyRuntime {
-        self.runtimes
+        let slot = Family::ALL
             .iter()
-            .find(|r| r.family() == family)
-            .expect("try_build materializes every registry family")
+            .position(|&f| f == family)
+            .expect("every family is in the registry");
+        self.runtimes[slot].get_or_init(|| family.build_runtime(&self.cfg))
     }
 
     /// Direct access to the OpenMP-analogue team (for task-parallel code).
@@ -240,22 +248,29 @@ impl Executor {
 
     /// Snapshots of every pooled runtime's scheduler counters, in
     /// [`Family::ALL`] order (families without a pool — C++11 — are
-    /// omitted). Two snapshots bracket a job; their difference
-    /// (`StatsSnapshot` implements `Sub`) attributes the events to that
-    /// job — exact when the executor runs one job at a time, as in the job
-    /// service's per-worker executor caches. The rawthreads model's
+    /// omitted). The list always names every pooled family; a pool not
+    /// built yet reports zeros. Two snapshots bracket a job; their
+    /// difference (`StatsSnapshot` implements `Sub`) attributes the events
+    /// to that job — exact when the executor runs one job at a time, as in
+    /// the job service's per-worker executor caches, including the job that
+    /// builds a pool, whose counters start at zero. The rawthreads model's
     /// process-global counters live at `tpm_rawthreads::stats()`.
     pub fn pooled_stats(&self) -> Vec<(Family, StatsSnapshot)> {
-        self.runtimes
+        Family::ALL
             .iter()
-            .filter_map(|r| r.stats().map(|s| (r.family(), s)))
+            .zip(&self.runtimes)
+            .filter(|(fam, _)| fam.has_pooled_runtime())
+            .map(|(&fam, slot)| {
+                let snap = slot.get().and_then(FamilyRuntime::stats);
+                (fam, snap.unwrap_or_default())
+            })
             .collect()
     }
 
-    /// Resets every pooled runtime's scheduler counters (e.g. between a
-    /// warm-up run and a profiled run).
+    /// Resets the scheduler counters of every runtime built so far (e.g.
+    /// between a warm-up run and a profiled run).
     pub fn reset_stats(&self) {
-        for r in &self.runtimes {
+        for r in self.runtimes.iter().filter_map(OnceLock::get) {
             r.reset_stats();
         }
     }
@@ -263,26 +278,7 @@ impl Executor {
     /// The chunk size the paper's manual/task chunkings use:
     /// `BASE = N / threads`.
     pub fn base_chunk(&self, n: usize) -> usize {
-        raw::base_cutoff(n, self.threads)
-    }
-
-    /// Runs the data-parallel loop `body` over `range` under `model`'s
-    /// distribution mechanism. `body` receives contiguous chunks.
-    ///
-    /// Deprecated: panics on any failure. Use
-    /// [`try_parallel_for`](Self::try_parallel_for), which reports
-    /// cancellation, deadlines and contained body panics as [`ExecError`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use try_parallel_for (Result-based; this wrapper panics on failure)"
-    )]
-    pub fn parallel_for<F>(&self, model: Model, range: Range<usize>, body: &F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if let Err(e) = self.try_parallel_for(model, range, &CancelToken::new(), body) {
-            panic!("{model} parallel_for failed: {e}");
-        }
+        raw::base_cutoff(n, self.cfg.threads)
     }
 
     /// Fallible parallel loop: polls `token` at every chunk/steal boundary
@@ -329,19 +325,20 @@ impl Executor {
     {
         let n = range.len();
         let base = self.base_chunk(n);
+        let threads = self.cfg.threads;
         match model {
             Model::OmpFor => {
                 // Worksharing with the static schedule (the paper's setup for
                 // all data-parallel comparisons); the region carries the token
                 // so every chunk boundary polls it.
-                self.team().parallel_with_token(self.threads, token, |ctx| {
+                self.team().parallel_with_token(threads, token, |ctx| {
                     ctx.ws_for_chunks(Schedule::static_default(), range.clone(), body);
                 });
             }
             Model::OmpTask => {
                 // parallel + single + one task per BASE-sized chunk; each task
                 // polls the region's cancellation state before running.
-                self.team().parallel_with_token(self.threads, token, |ctx| {
+                self.team().parallel_with_token(threads, token, |ctx| {
                     ctx.single(|| {
                         ctx.task_scope(|s| {
                             let mut start = range.start;
@@ -382,8 +379,7 @@ impl Executor {
                 });
             }
             Model::CxxThread => {
-                let _ =
-                    raw::threads_for_cancel(self.threads, range, token, |_tid, chunk| body(chunk));
+                let _ = raw::threads_for_cancel(threads, range, token, |_tid, chunk| body(chunk));
             }
             Model::CxxAsync => {
                 let _ = raw::recursive_for_cancel(range, base, token, body);
@@ -399,35 +395,6 @@ impl Executor {
                 // activations down to BASE.
                 tpm_actors::recursive_for_cancel(self.actors(), range, base, token, body);
             }
-        }
-    }
-
-    /// Runs a data-parallel reduction under `model`: `body` folds each chunk
-    /// into a `T` accumulator; partials combine with `combine` (associative).
-    ///
-    /// Deprecated: panics on any failure. Use
-    /// [`try_parallel_reduce`](Self::try_parallel_reduce).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use try_parallel_reduce (Result-based; this wrapper panics on failure)"
-    )]
-    pub fn parallel_reduce<T, F, Id, Op>(
-        &self,
-        model: Model,
-        range: Range<usize>,
-        identity: Id,
-        combine: Op,
-        body: F,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Send + Sync,
-        Op: Fn(T, T) -> T + Send + Sync,
-        F: Fn(Range<usize>, &mut T) + Sync,
-    {
-        match self.try_parallel_reduce(model, range, &CancelToken::new(), identity, combine, body) {
-            Ok(v) => v,
-            Err(e) => panic!("{model} parallel_reduce failed: {e}"),
         }
     }
 
@@ -495,12 +462,13 @@ impl Executor {
     {
         let n = range.len();
         let base = self.base_chunk(n);
+        let threads = self.cfg.threads;
         match model {
             Model::OmpFor => {
                 // Identical to Team::parallel_for_reduce, with the token
                 // attached to the region (same chunks, same combine order).
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                self.team().parallel_with_token(self.threads, token, |ctx| {
+                let reducer = tpm_sync::Reducer::new(threads, identity, combine);
+                self.team().parallel_with_token(threads, token, |ctx| {
                     ctx.ws_for_chunks(Schedule::static_default(), range.clone(), |chunk| {
                         reducer.with(ctx.thread_num(), |acc| body(chunk, acc));
                     });
@@ -509,8 +477,8 @@ impl Executor {
             }
             Model::OmpTask => {
                 // Tasks accumulate into a reducer keyed by executing thread.
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                self.team().parallel_with_token(self.threads, token, |ctx| {
+                let reducer = tpm_sync::Reducer::new(threads, identity, combine);
+                self.team().parallel_with_token(threads, token, |ctx| {
                     ctx.single(|| {
                         ctx.task_scope(|s| {
                             let mut start = range.start;
@@ -548,7 +516,7 @@ impl Executor {
                 })
             }
             Model::CilkSpawn => {
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
+                let reducer = tpm_sync::Reducer::new(threads, identity, combine);
                 self.worksteal().install(|ctx| {
                     tpm_worksteal::scope(ctx, |s| {
                         let mut start = range.start;
@@ -571,8 +539,8 @@ impl Executor {
                 // threads_for_reduce's per-thread partials, over the
                 // cancel-aware loop (sub-chunks fold in order, so the
                 // operation sequence per thread is unchanged).
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                let _ = raw::threads_for_cancel(self.threads, range, token, |tid, chunk| {
+                let reducer = tpm_sync::Reducer::new(threads, identity, combine);
+                let _ = raw::threads_for_cancel(threads, range, token, |tid, chunk| {
                     reducer.with(tid, |acc| body(chunk, acc));
                 });
                 reducer.finish()
@@ -593,7 +561,7 @@ impl Executor {
                 // Scatter activations fold into a reducer keyed by the
                 // executing worker (same per-worker-partials shape as the
                 // other pooled families).
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
+                let reducer = tpm_sync::Reducer::new(threads, identity, combine);
                 tpm_actors::scatter_for_indexed_cancel(
                     self.actors(),
                     range,
@@ -604,7 +572,7 @@ impl Executor {
                 reducer.finish()
             }
             Model::ActorTask => {
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
+                let reducer = tpm_sync::Reducer::new(threads, identity, combine);
                 tpm_actors::recursive_for_indexed_cancel(
                     self.actors(),
                     range,
@@ -621,7 +589,7 @@ impl Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("threads", &self.threads)
+            .field("threads", &self.cfg.threads)
             .finish()
     }
 }
@@ -694,40 +662,92 @@ mod tests {
         }
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let exec = Executor::new(2);
-        let c = AtomicU64::new(0);
-        exec.parallel_for(Model::OmpFor, 0..10, &|chunk| {
-            c.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        });
-        assert_eq!(c.into_inner(), 10);
-        let sum = exec.parallel_reduce(
-            Model::ActorFor,
-            0..100,
-            || 0u64,
-            |a, b| a + b,
-            |chunk, acc| {
-                for i in chunk {
-                    *acc += i as u64;
-                }
-            },
-        );
-        assert_eq!(sum, 4950);
+    /// The families whose runtime slot has been filled.
+    fn built(exec: &Executor) -> Vec<Family> {
+        Family::ALL
+            .iter()
+            .zip(&exec.runtimes)
+            .filter(|(_, slot)| slot.get().is_some())
+            .map(|(&fam, _)| fam)
+            .collect()
     }
 
     #[test]
-    fn registry_builds_every_family() {
+    fn a_fresh_executor_has_built_nothing() {
         let exec = Executor::new(2);
-        let families: Vec<Family> = exec.runtimes.iter().map(|r| r.family()).collect();
-        assert_eq!(families, Family::ALL.to_vec());
-        // Pooled stats cover every family with a persistent pool.
-        let pooled: Vec<Family> = exec.pooled_stats().iter().map(|(f, _)| *f).collect();
-        assert_eq!(
-            pooled,
-            vec![Family::OpenMp, Family::CilkPlus, Family::Actors]
-        );
+        assert_eq!(built(&exec), Vec::<Family>::new());
+    }
+
+    #[test]
+    fn each_model_builds_exactly_its_family_runtime() {
+        for model in Model::ALL {
+            let exec = Executor::new(2);
+            run_for(&exec, model, 0..10, &|_| {});
+            let want = if model.family().has_pooled_runtime() {
+                vec![model.family()]
+            } else {
+                vec![]
+            };
+            assert_eq!(built(&exec), want, "{model} for");
+
+            let exec = Executor::new(2);
+            exec.try_parallel_reduce(
+                model,
+                0..10,
+                &CancelToken::new(),
+                || 0u64,
+                |a, b| a + b,
+                |chunk, acc| *acc += chunk.len() as u64,
+            )
+            .unwrap();
+            assert_eq!(built(&exec), want, "{model} reduce");
+        }
+    }
+
+    #[test]
+    fn pooled_stats_list_every_pooled_family_with_zeros_until_built() {
+        let pooled = [Family::OpenMp, Family::CilkPlus, Family::Actors];
+        let exec = Executor::new(2);
+        let snap = exec.pooled_stats();
+        assert_eq!(snap.iter().map(|(f, _)| *f).collect::<Vec<_>>(), pooled);
+        assert!(snap.iter().all(|(_, s)| *s == StatsSnapshot::default()));
+
+        run_for(&exec, Model::CilkSpawn, 0..100, &|_| {});
+        exec.reset_stats();
+        let snap = exec.pooled_stats();
+        assert_eq!(snap.iter().map(|(f, _)| *f).collect::<Vec<_>>(), pooled);
+        assert_eq!(built(&exec), vec![Family::CilkPlus]);
+
+        run_for(&exec, Model::CilkSpawn, 0..100, &|_| {});
+        let after = exec.pooled_stats();
+        for ((fam, now), (_, before)) in after.iter().zip(&snap) {
+            let d = *now - *before;
+            if *fam == Family::CilkPlus {
+                assert!(d.spawned > 0, "cilk_spawn spawned tasks: {d:?}");
+            } else {
+                assert_eq!(*now, StatsSnapshot::default(), "{fam} never built");
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_uses_build_one_runtime() {
+        let exec = Executor::new(2);
+        let start = std::sync::Barrier::new(2);
+        let addrs: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        exec.worksteal() as *const Runtime as usize
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(addrs[0], addrs[1], "both racers see the same runtime");
+        assert_eq!(addrs[0], exec.worksteal() as *const Runtime as usize);
+        assert_eq!(built(&exec), vec![Family::CilkPlus]);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   with family and pattern metadata. This is the *single* enumeration
 //!   point — call sites derive their lists from [`Family::ALL`] /
 //!   [`Family::variants`] / [`Model::ALL`] / [`Model::parse_list`].
-//! * [`Executor`] — one runtime instance per family ([`FamilyRuntime`],
-//!   built by [`Family::build_runtime`]) at a common thread count.
+//! * [`Executor`] — up to one runtime instance per family
+//!   ([`FamilyRuntime`], built by [`Family::build_runtime`] on the family's
+//!   first use) at a common thread count.
 //! * [`timing`] — median-of-N wall-clock measurement.
 //! * [`Series`] / [`Figure`] — the paper's figure data (time vs threads per
 //!   variant), with winner/loser queries used by the reproduction checks.

@@ -1035,7 +1035,9 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     // run concurrent regions, so executors are never shared across workers.
     // Each executor carries the per-family stats snapshots taken after its
     // last job, so per-job scheduler deltas are exact — nothing else drives
-    // these pools.
+    // these pools. An executor builds a family's pool only when a job first
+    // runs one of its models; until then that family's snapshot reads zero,
+    // and traffic that never uses a family never starts its workers.
     let mut executors: HashMap<
         usize,
         (Executor, Vec<(tpm_core::Family, tpm_sync::StatsSnapshot)>),

@@ -67,7 +67,7 @@ pub use oneshot::{channel as oneshot_channel, Receiver, RecvError, Sender};
 pub use pool::PoolConfig;
 pub use reducer::Reducer;
 pub use reentrant::{ReentrantGuard, ReentrantLock};
-pub use rng::{SplitMix64, XorShift64Star};
+pub use rng::SplitMix64;
 pub use rwlock::{ReadGuard, RwLock, WriteGuard};
 pub use semaphore::{Permit, Semaphore};
 pub use spinlock::{SpinGuard, SpinLock};

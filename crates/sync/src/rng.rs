@@ -1,15 +1,12 @@
 //! Small deterministic PRNGs.
 //!
-//! Work-stealing victim selection needs a fast thread-local generator with no
-//! allocation and no global state; the simulator and workload generators need
-//! reproducible streams. Both are served by SplitMix64 (seeding / simulator)
-//! and XorShift64* (hot-path victim selection), which are the generators used
-//! by most work-stealing runtimes in practice.
+//! The simulators and workload generators need reproducible streams with no
+//! allocation and no global state; SplitMix64 serves them.
 
 /// SplitMix64: a tiny, high-quality 64-bit generator.
 ///
-/// Passes BigCrush when used as a stream; its main role here is seeding
-/// [`XorShift64Star`] streams and driving the deterministic simulator.
+/// Passes BigCrush when used as a stream; it drives the deterministic
+/// simulators and seeds the kernels' input data.
 ///
 /// # Examples
 ///
@@ -79,44 +76,6 @@ impl SplitMix64 {
     }
 }
 
-/// XorShift64*: three shifts and a multiply — the classic cheap generator for
-/// randomized victim selection in work-stealing schedulers.
-#[derive(Debug, Clone)]
-pub struct XorShift64Star {
-    state: u64,
-}
-
-impl XorShift64Star {
-    /// Creates a generator; a zero seed is remapped (XorShift requires a
-    /// nonzero state).
-    pub fn new(seed: u64) -> Self {
-        // Run the seed through SplitMix64 so that consecutive small seeds
-        // (worker indices) produce uncorrelated streams.
-        let mut sm = SplitMix64::new(seed);
-        let mut state = sm.next_u64();
-        if state == 0 {
-            state = 0x9E37_79B9_7F4A_7C15;
-        }
-        Self { state }
-    }
-
-    /// Returns the next 64 pseudo-random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Returns a uniform value in `[0, bound)`. `bound` must be nonzero.
-    pub fn next_bounded(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0);
-        ((self.next_u64() as u128 * bound as u128) >> 64) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,10 +106,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(r.next_bounded(13) < 13);
         }
-        let mut x = XorShift64Star::new(7);
-        for _ in 0..10_000 {
-            assert!(x.next_bounded(5) < 5);
-        }
     }
 
     #[test]
@@ -170,19 +125,5 @@ mod tests {
             let v = r.next_f64();
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn zero_seed_is_valid_for_xorshift() {
-        let mut x = XorShift64Star::new(0);
-        assert_ne!(x.next_u64(), 0);
-    }
-
-    #[test]
-    fn distinct_worker_seeds_give_distinct_streams() {
-        let mut a = XorShift64Star::new(0);
-        let mut b = XorShift64Star::new(1);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }
